@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -29,7 +28,7 @@ import (
 //	body     varint rank, varint thread            (owning location)
 //	         uvarint nNewRegions, nNewRegions × (uvarint len, bytes)
 //	         uvarint nNewPaths,  nNewPaths × (uvarint parent, uvarint region)
-//	         uvarint nEvents,    nEvents × event   (writeEvent encoding)
+//	         uvarint nEvents,    nEvents × event   (appendEvent encoding)
 //	index    uvarint nStreams, nStreams × stream   (sorted rank-major)
 //	stream   varint rank, varint thread, uvarint totalEvents,
 //	         uvarint nFrames, nFrames × (uvarint bodyOff, uvarint bodyLen)
@@ -113,7 +112,7 @@ type ChunkWriter struct {
 	off       int64
 	threshold int
 	streams   map[Location]*chunkStream
-	scratch   bytes.Buffer
+	frame     []byte // encoding scratch, reused across frames
 	err       error
 	closed    bool
 }
@@ -205,40 +204,41 @@ func (w *ChunkWriter) spillLocked(b *Buffer) {
 	if nr == 0 && np == 0 && ne == 0 {
 		return
 	}
-	sc := &w.scratch
-	sc.Reset()
-	// Writes into a bytes.Buffer cannot fail.
-	writeVarint(sc, int64(b.Loc.Rank))
-	writeVarint(sc, int64(b.Loc.Thread))
-	writeUvarint(sc, uint64(nr))
-	for _, name := range b.regions[s.regions:] {
-		writeString(sc, name)
-	}
-	writeUvarint(sc, uint64(np))
-	for i := s.paths; i < len(b.pathParent); i++ {
-		writeUvarint(sc, uint64(b.pathParent[i]))
-		writeUvarint(sc, uint64(b.pathRegion[i]))
-	}
-	writeUvarint(sc, uint64(ne))
-	for i := range b.events {
-		writeEvent(sc, &b.events[i])
-	}
-	var hdr [1 + binary.MaxVarintLen64]byte
-	hdr[0] = chunkTagFrame
-	n := 1 + binary.PutUvarint(hdr[1:], uint64(sc.Len()))
-	if _, err := w.bw.Write(hdr[:n]); err != nil {
+	// The body is encoded after room for the longest envelope, which is
+	// then filled in right-aligned so the frame goes out in one write.
+	const maxEnvelope = 1 + binary.MaxVarintLen64
+	buf := append(w.frame[:0], make([]byte, maxEnvelope)...)
+	buf = appendFrame(buf, b.Loc, b.regions[s.regions:], b.pathParent[s.paths:], b.pathRegion[s.paths:], b.events)
+	w.frame = buf
+	body := len(buf) - maxEnvelope
+	var env [maxEnvelope]byte
+	env[0] = chunkTagFrame
+	n := 1 + binary.PutUvarint(env[1:], uint64(body))
+	start := maxEnvelope - n
+	copy(buf[start:], env[:n])
+	if _, err := w.bw.Write(buf[start:]); err != nil {
 		w.fail(err)
 		return
 	}
-	if _, err := w.bw.Write(sc.Bytes()); err != nil {
-		w.fail(err)
-		return
-	}
-	s.frames = append(s.frames, frameRef{off: w.off + int64(n), len: int64(sc.Len())})
-	w.off += int64(n) + int64(sc.Len())
+	s.frames = append(s.frames, frameRef{off: w.off + int64(n), len: int64(body)})
+	w.off += int64(n + body)
 	s.regions += nr
 	s.paths += np
 	s.events += uint64(ne)
+}
+
+// appendFrame appends one frame body: the owning location, the intern-table
+// deltas and the events.
+func appendFrame(dst []byte, loc Location, regions []string, pathParent []PathID, pathRegion []RegionID, events []Event) []byte {
+	dst = appendLocation(dst, loc)
+	dst = appendStrings(dst, regions)
+	dst = binary.AppendUvarint(dst, uint64(len(pathParent)))
+	dst = appendPaths(dst, pathParent, pathRegion)
+	dst = binary.AppendUvarint(dst, uint64(len(events)))
+	for i := range events {
+		dst = appendEvent(dst, &events[i])
+	}
+	return dst
 }
 
 // Finish implements Sink: it flushes b's tail frame, marks the stream
@@ -295,22 +295,20 @@ func (w *ChunkWriter) Close() error {
 		locs = append(locs, loc)
 	}
 	sort.Slice(locs, func(i, j int) bool { return locs[i].less(locs[j]) })
-	writeUvarint(w.bw, uint64(len(locs)))
+	idx := binary.AppendUvarint(w.frame[:0], uint64(len(locs)))
 	for _, loc := range locs {
 		s := w.streams[loc]
-		writeVarint(w.bw, int64(loc.Rank))
-		writeVarint(w.bw, int64(loc.Thread))
-		writeUvarint(w.bw, s.events)
-		writeUvarint(w.bw, uint64(len(s.frames)))
+		idx = appendLocation(idx, loc)
+		idx = binary.AppendUvarint(idx, s.events)
+		idx = binary.AppendUvarint(idx, uint64(len(s.frames)))
 		for _, fr := range s.frames {
-			writeUvarint(w.bw, uint64(fr.off))
-			writeUvarint(w.bw, uint64(fr.len))
+			idx = binary.AppendUvarint(idx, uint64(fr.off))
+			idx = binary.AppendUvarint(idx, uint64(fr.len))
 		}
 	}
-	var tail [chunkTrailerLen]byte
-	binary.LittleEndian.PutUint64(tail[:8], uint64(indexOff))
-	copy(tail[8:], chunkTrailerMagic[:])
-	w.bw.Write(tail[:])
+	idx = binary.LittleEndian.AppendUint64(idx, uint64(indexOff))
+	idx = append(idx, chunkTrailerMagic[:]...)
+	w.bw.Write(idx) // bufio errors are sticky; surfaced by Flush
 	if err := w.bw.Flush(); err != nil {
 		w.fail(err)
 		w.f.Close()
@@ -429,10 +427,10 @@ func newChunkReader(f *os.File, lim Limits) (*ChunkReader, error) {
 }
 
 func (r *ChunkReader) parseIndex(idx []byte) error {
-	br := bytes.NewReader(idx)
-	nStreams, err := binary.ReadUvarint(br)
-	if err != nil {
-		return fmt.Errorf("trace: chunk index: %w", err)
+	d := decoder{buf: idx}
+	nStreams := d.uvarint()
+	if d.err != nil {
+		return fmt.Errorf("trace: chunk index: %w", d.err)
 	}
 	if err := checkCount(nStreams, minStreamIndexBytes, int64(len(idx)), "chunk stream"); err != nil {
 		return err
@@ -444,13 +442,10 @@ func (r *ChunkReader) parseIndex(idx []byte) error {
 	var totalEvents uint64
 	r.streams = make([]chunkIndexEntry, 0, sliceCap(nStreams))
 	for i := uint64(0); i < nStreams; i++ {
-		rank, err := binary.ReadVarint(br)
-		if err != nil {
-			return fmt.Errorf("trace: chunk index stream %d: %w", i, err)
-		}
-		thread, err := binary.ReadVarint(br)
-		if err != nil {
-			return fmt.Errorf("trace: chunk index stream %d: %w", i, err)
+		rank, thread := d.varint(), d.varint()
+		events := d.uvarint()
+		if d.err != nil {
+			return fmt.Errorf("trace: chunk index stream %d: %w", i, d.err)
 		}
 		if rank < math.MinInt32 || rank > math.MaxInt32 || thread < math.MinInt32 || thread > math.MaxInt32 {
 			return fmt.Errorf("trace: chunk index stream %d: location out of range", i)
@@ -459,10 +454,6 @@ func (r *ChunkReader) parseIndex(idx []byte) error {
 		if n := len(r.streams); n > 0 && !r.streams[n-1].loc.less(loc) {
 			return fmt.Errorf("trace: chunk index: locations unsorted or duplicated at %v", loc)
 		}
-		events, err := binary.ReadUvarint(br)
-		if err != nil {
-			return fmt.Errorf("trace: chunk index stream %d: %w", i, err)
-		}
 		totalEvents += events
 		if err := checkCount(totalEvents, minEventBytes, bodySize, "chunk event"); err != nil {
 			return err
@@ -470,22 +461,18 @@ func (r *ChunkReader) parseIndex(idx []byte) error {
 		if err := r.lim.checkEvents(totalEvents); err != nil {
 			return err
 		}
-		nFrames, err := binary.ReadUvarint(br)
-		if err != nil {
-			return fmt.Errorf("trace: chunk index stream %d: %w", i, err)
+		nFrames := d.uvarint()
+		if d.err != nil {
+			return fmt.Errorf("trace: chunk index stream %d: %w", i, d.err)
 		}
 		if err := checkCount(nFrames, minFrameBodyBytes+2, bodySize, "chunk frame"); err != nil {
 			return err
 		}
 		frames := make([]frameRef, 0, sliceCap(nFrames))
 		for j := uint64(0); j < nFrames; j++ {
-			off, err := binary.ReadUvarint(br)
-			if err != nil {
-				return fmt.Errorf("trace: chunk index stream %d frame %d: %w", i, j, err)
-			}
-			ln, err := binary.ReadUvarint(br)
-			if err != nil {
-				return fmt.Errorf("trace: chunk index stream %d frame %d: %w", i, j, err)
+			off, ln := d.uvarint(), d.uvarint()
+			if d.err != nil {
+				return fmt.Errorf("trace: chunk index stream %d frame %d: %w", i, j, d.err)
 			}
 			if off < chunkHeaderLen || ln < minFrameBodyBytes ||
 				off > uint64(r.indexOff) || ln > uint64(r.indexOff) || off+ln > uint64(r.indexOff) {
@@ -498,8 +485,8 @@ func (r *ChunkReader) parseIndex(idx []byte) error {
 		}
 		r.streams = append(r.streams, chunkIndexEntry{loc: loc, events: events, frames: frames})
 	}
-	if br.Len() != 0 {
-		return fmt.Errorf("trace: chunk index: %d trailing bytes", br.Len())
+	if n := len(idx) - d.off; n != 0 {
+		return fmt.Errorf("trace: chunk index: %d trailing bytes", n)
 	}
 	return nil
 }
@@ -595,47 +582,39 @@ func (c *chunkCursor) parseFrame(buf []byte) ([]Event, error) {
 	corrupt := func(format string, args ...any) error {
 		return fmt.Errorf("trace: chunk stream %v: corrupt frame: %s", c.ent.loc, fmt.Sprintf(format, args...))
 	}
-	br := bytes.NewReader(buf)
-	rank, err := binary.ReadVarint(br)
-	if err != nil {
-		return nil, corrupt("location: %v", err)
-	}
-	thread, err := binary.ReadVarint(br)
-	if err != nil {
-		return nil, corrupt("location: %v", err)
+	d := decoder{buf: buf}
+	rank, thread := d.varint(), d.varint()
+	if d.err != nil {
+		return nil, corrupt("location: %v", d.err)
 	}
 	if rank != int64(c.ent.loc.Rank) || thread != int64(c.ent.loc.Thread) {
 		return nil, corrupt("frame belongs to %d.%d", rank, thread)
 	}
-	nr, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, corrupt("region count: %v", err)
+	nr := d.uvarint()
+	if d.err != nil {
+		return nil, corrupt("region count: %v", d.err)
 	}
-	if err := checkCount(nr, minRegionBytes, int64(br.Len()), "chunk-frame region"); err != nil {
+	if err := checkCount(nr, minRegionBytes, int64(len(buf)-d.off), "chunk-frame region"); err != nil {
 		return nil, err
 	}
 	for i := uint64(0); i < nr; i++ {
-		s, err := readString(br)
-		if err != nil {
-			return nil, corrupt("region %d: %v", i, err)
+		s := d.string()
+		if d.err != nil {
+			return nil, corrupt("region %d: %v", i, d.err)
 		}
 		c.regions = append(c.regions, s)
 	}
-	np, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, corrupt("path count: %v", err)
+	np := d.uvarint()
+	if d.err != nil {
+		return nil, corrupt("path count: %v", d.err)
 	}
-	if err := checkCount(np, minPathBytes, int64(br.Len()), "chunk-frame path"); err != nil {
+	if err := checkCount(np, minPathBytes, int64(len(buf)-d.off), "chunk-frame path"); err != nil {
 		return nil, err
 	}
 	for i := uint64(0); i < np; i++ {
-		parent, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, corrupt("path %d: %v", i, err)
-		}
-		region, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, corrupt("path %d: %v", i, err)
+		parent, region := d.uvarint(), d.uvarint()
+		if d.err != nil {
+			return nil, corrupt("path %d: %v", i, d.err)
 		}
 		if parent >= uint64(len(c.pathParent)) || region >= uint64(len(c.regions)) {
 			return nil, corrupt("path table entry %d references parent %d / region %d", i, parent, region)
@@ -643,20 +622,25 @@ func (c *chunkCursor) parseFrame(buf []byte) ([]Event, error) {
 		c.pathParent = append(c.pathParent, PathID(parent))
 		c.pathRegion = append(c.pathRegion, RegionID(region))
 	}
-	ne, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, corrupt("event count: %v", err)
+	ne := d.uvarint()
+	if d.err != nil {
+		return nil, corrupt("event count: %v", d.err)
 	}
-	if err := checkCount(ne, minEventBytes, int64(br.Len()), "chunk-frame event"); err != nil {
+	if err := checkCount(ne, minEventBytes, int64(len(buf)-d.off), "chunk-frame event"); err != nil {
 		return nil, err
 	}
-	evs := c.events[:0]
-	for i := uint64(0); i < ne; i++ {
-		evs = append(evs, Event{})
-		ev := &evs[len(evs)-1]
-		if err := readEventBody(br, ev); err != nil {
+	if uint64(cap(c.events)) < ne {
+		c.events = make([]Event, ne)
+	}
+	evs := c.events[:ne]
+	off := d.off
+	for i := range evs {
+		ev := &evs[i]
+		n, err := decodeEvent(buf[off:], ev)
+		if err != nil {
 			return nil, corrupt("event %d: %v", i, err)
 		}
+		off += n
 		if ev.Loc != c.ent.loc {
 			return nil, corrupt("event %d belongs to %v", i, ev.Loc)
 		}
@@ -668,10 +652,9 @@ func (c *chunkCursor) parseFrame(buf []byte) ([]Event, error) {
 			return nil, corrupt("event %d references unknown region %d", i, ev.Region)
 		}
 	}
-	if br.Len() != 0 {
-		return nil, corrupt("%d trailing bytes", br.Len())
+	if off != len(buf) {
+		return nil, corrupt("%d trailing bytes", len(buf)-off)
 	}
-	c.events = evs
 	return evs, nil
 }
 

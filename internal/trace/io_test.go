@@ -12,15 +12,15 @@ import (
 // enc builds a trace header byte by byte for corruption tests.
 type enc struct{ bytes.Buffer }
 
-func (e *enc) uvarint(v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	e.Write(buf[:binary.PutUvarint(buf[:], v)])
-}
+func (e *enc) uvarint(v uint64) { writeUvarint(&e.Buffer, v) }
 
-func (e *enc) varint(v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	e.Write(buf[:binary.PutVarint(buf[:], v)])
-}
+func (e *enc) varint(v int64) { writeVarint(&e.Buffer, v) }
+
+// writeUvarint and writeVarint append one varint to buf; corruption
+// fixtures use them to hand-assemble encodings.
+func writeUvarint(buf *bytes.Buffer, v uint64) { buf.Write(binary.AppendUvarint(nil, v)) }
+
+func writeVarint(buf *bytes.Buffer, v int64) { buf.Write(binary.AppendVarint(nil, v)) }
 
 func header() *enc {
 	e := &enc{}
