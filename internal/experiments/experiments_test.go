@@ -11,6 +11,7 @@ import (
 	"repro/internal/analyzer"
 	"repro/internal/core"
 	"repro/internal/mpi"
+	"repro/internal/trace"
 	"repro/internal/vtime"
 )
 
@@ -193,11 +194,59 @@ func TestRealModeLateSenderDetected(t *testing.T) {
 	if top == nil || top.Property != analyzer.PropLateSender {
 		t.Fatalf("real mode: late sender not dominant:\n%s", rep.Render())
 	}
-	// One pair × 20ms × 5 reps = 100ms ± scheduling noise.
-	got := rep.Wait(analyzer.PropLateSender)
-	if got < 0.05 || got > 0.3 {
-		t.Errorf("real-mode wait %v, want ≈ 0.1", got)
+	// The program asks for 5 × 20ms of lateness, but on a real clock the
+	// schedule decides how much of it the receiver observes: when the
+	// suite's other packages share the cores, the receiver's own work
+	// stretches too.  The trace records what happened, so the analyzer is
+	// held to the lateness the trace shows.
+	want := observedLateSender(tr)
+	if want <= 0 {
+		t.Fatalf("no receive waited for its sender:\n%s", rep.Render())
 	}
+	if got := rep.Wait(analyzer.PropLateSender); math.Abs(got-want) > 1e-9 {
+		t.Errorf("real-mode late-sender wait %v, trace shows %v", got, want)
+	}
+}
+
+// observedLateSender sums, over the matched messages of tr, how long each
+// receiver sat in its receive (entered at the receive's Aux) before the
+// sender started sending (the send's Time).
+func observedLateSender(tr *trace.Trace) float64 {
+	sendAt := make(map[uint64]float64)
+	for _, ev := range tr.Events {
+		if ev.Kind == trace.KindSend {
+			sendAt[ev.Match] = ev.Time
+		}
+	}
+	var wait float64
+	for _, ev := range tr.Events {
+		if s, ok := sendAt[ev.Match]; ok && ev.Kind == trace.KindRecv && s > ev.Aux {
+			wait += s - ev.Aux
+		}
+	}
+	return wait
+}
+
+// observedBarrierWait sums, over the barrier instances of tr, how long each
+// participant waited between its own arrival (Aux) and the last one's.
+func observedBarrierWait(tr *trace.Trace) float64 {
+	arrivals := make(map[uint64][]float64)
+	for _, ev := range tr.Events {
+		if ev.Kind == trace.KindColl && ev.Coll == trace.CollBarrier {
+			arrivals[ev.Match] = append(arrivals[ev.Match], ev.Aux)
+		}
+	}
+	var wait float64
+	for _, at := range arrivals {
+		last := at[0]
+		for _, a := range at {
+			last = math.Max(last, a)
+		}
+		for _, a := range at {
+			wait += last - a
+		}
+	}
+	return wait
 }
 
 func TestRealModeBarrierImbalance(t *testing.T) {
@@ -214,10 +263,14 @@ func TestRealModeBarrierImbalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := analyzer.Analyze(tr, analyzer.Options{})
-	got := rep.Wait(analyzer.PropWaitAtBarrier)
-	// 3 ranks × ~25ms.
-	if got < 0.04 || got > 0.25 {
-		t.Errorf("real-mode barrier wait %v, want ≈ 0.075", got)
+	// The program asks for 3 ranks × 25ms of waiting; as in the
+	// late-sender test, the analyzer is held to what the trace shows.
+	want := observedBarrierWait(tr)
+	if want <= 0 {
+		t.Fatalf("no rank waited at the barrier:\n%s", rep.Render())
+	}
+	if got := rep.Wait(analyzer.PropWaitAtBarrier); math.Abs(got-want) > 1e-9 {
+		t.Errorf("real-mode barrier wait %v, trace shows %v", got, want)
 	}
 }
 
