@@ -122,9 +122,13 @@ func (s *Store) indexAdd(hash string, p *profile.Profile) error {
 }
 
 // Similar returns the k stored profiles most similar to the stored
-// object with the given hash (the query itself is indexed, so its own
-// entry — similarity 1 — leads the result).  The index is ensured
-// first: opened, schema-checked, and backfilled to cover the store.
+// object with the given hash, ordered by similarity (descending) and then
+// by hash.  The query is itself indexed, but its entry need not lead the
+// result: distinct profiles can embed at similarity 1 (every profile
+// without findings, for one), exact ties are ordered by hash, and with
+// more such ties than k the query's own entry can fall outside the
+// result.  The index is ensured first: opened, schema-checked, and
+// backfilled to cover the store.
 func (s *Store) Similar(hash string, k int) ([]similarity.Match, int, error) {
 	p, err := s.Get(hash)
 	if err != nil {
