@@ -12,10 +12,12 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/trace"
 )
@@ -208,6 +210,74 @@ func TestEventEngineDeadlockNamesRanks(t *testing.T) {
 		if !strings.Contains(msg, want) {
 			t.Fatalf("deadlock error %q missing %q", msg, want)
 		}
+	}
+}
+
+// TestEventEngineFailurePaths drives each way a world can fail — the
+// watchdog firing while rank 0 holds the run token with peers parked and
+// never dispatched, a rank panic mid-run, and a structural deadlock — and
+// checks that Run returns the failure promptly (well inside the unwind
+// grace period), that no rank was left stuck, and that every rank
+// goroutine has exited.
+func TestEventEngineFailurePaths(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	cases := []struct {
+		name string
+		body func(c *Comm)
+		want string
+	}{
+		{"watchdog", func(c *Comm) {
+			buf := AllocBuf(TypeInt, 1)
+			defer FreeBuf(buf)
+			// Rank 1 parks in the barrier, ranks 2.. are still ready when
+			// rank 0 resumes and overstays the watchdog.
+			switch c.Rank() {
+			case 0:
+				c.Recv(buf, 1, 0)
+				time.Sleep(3 * timeout)
+			case 1:
+				c.Send(buf, 0, 0)
+			}
+			c.Barrier()
+		}, "watchdog timeout"},
+		{"panic", func(c *Comm) {
+			buf := AllocBuf(TypeDouble, 4)
+			defer FreeBuf(buf)
+			next, prev := (c.Rank()+1)%c.Size(), (c.Rank()-1+c.Size())%c.Size()
+			for round := 0; round < 4; round++ {
+				c.Sendrecv(buf, next, 1, buf, prev, 1)
+				if round == 2 && c.Rank() == 5 {
+					panic("kaboom")
+				}
+				c.Barrier()
+			}
+		}, "rank 5 panicked"},
+		{"deadlock", func(c *Comm) {
+			buf := AllocBuf(TypeInt, 1)
+			defer FreeBuf(buf)
+			c.Recv(buf, (c.Rank()+1)%c.Size(), 1)
+		}, "deadlock detected"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			start := time.Now()
+			_, err := Run(Options{Procs: 8, Engine: EngineEvent, Timeout: timeout}, tc.body)
+			elapsed := time.Since(start)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Run error %v, want one containing %q", err, tc.want)
+			}
+			if elapsed > 2500*time.Millisecond {
+				t.Fatalf("Run took %v to return its error", elapsed)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > base {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines still running, %d before the run", runtime.NumGoroutine(), base)
+				}
+				runtime.Gosched()
+			}
+		})
 	}
 }
 

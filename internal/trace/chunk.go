@@ -175,6 +175,11 @@ func (w *ChunkWriter) Attach(b *Buffer) {
 	w.streams[b.Loc] = &chunkStream{paths: 1} // the path root is implicit
 	b.sink = w
 	b.spillAt = w.threshold
+	// The slab fills to exactly the threshold before every spill, so size
+	// it once instead of letting each location regrow it by doubling.
+	if cap(b.events) < w.threshold {
+		b.events = append(make([]Event, 0, w.threshold), b.events...)
+	}
 }
 
 // spill flushes b's pending events as one frame.  Called by the buffer's

@@ -76,7 +76,7 @@ type sourceState struct {
 // O(locations + intern tables + one frame per location) memory.
 type Stream struct {
 	srcs []sourceState
-	heap []int
+	heap []mergeKey
 
 	regions    []string
 	regionIDs  map[string]RegionID
@@ -150,8 +150,8 @@ func newStream(sources []streamSource, closers []io.Closer) (*Stream, error) {
 			st.Close()
 			return nil, err
 		}
-		if st.srcs[i].cur != nil {
-			st.heap = append(st.heap, i)
+		if s := &st.srcs[i]; s.cur != nil {
+			st.heap = append(st.heap, keyOf(&s.cur[0], i))
 		}
 	}
 	for i := len(st.heap)/2 - 1; i >= 0; i-- {
@@ -234,34 +234,43 @@ func (st *Stream) refill(i int) error {
 	}
 }
 
-// less orders heap candidates exactly like Merge: (Time, Location, source
+// mergeKey is a heap entry: the merge order of source src's current
+// event, held inline so comparisons never reach into the source frames.
+type mergeKey struct {
+	time float64
+	loc  Location
+	src  int
+}
+
+func keyOf(ev *Event, src int) mergeKey { return mergeKey{time: ev.Time, loc: ev.Loc, src: src} }
+
+// less orders heap entries exactly like Merge: (Time, Location, source
 // index).
-func (st *Stream) less(a, b int) bool {
-	ea := &st.srcs[a].cur[st.srcs[a].pos]
-	eb := &st.srcs[b].cur[st.srcs[b].pos]
-	if ea.Time != eb.Time {
-		return ea.Time < eb.Time
+func (a *mergeKey) less(b *mergeKey) bool {
+	if a.time != b.time {
+		return a.time < b.time
 	}
-	if ea.Loc != eb.Loc {
-		return ea.Loc.less(eb.Loc)
+	if a.loc != b.loc {
+		return a.loc.less(b.loc)
 	}
-	return a < b
+	return a.src < b.src
 }
 
 func (st *Stream) siftDown(i int) {
+	h := st.heap
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < len(st.heap) && st.less(st.heap[l], st.heap[small]) {
+		if l < len(h) && h[l].less(&h[small]) {
 			small = l
 		}
-		if r < len(st.heap) && st.less(st.heap[r], st.heap[small]) {
+		if r < len(h) && h[r].less(&h[small]) {
 			small = r
 		}
 		if small == i {
 			return
 		}
-		st.heap[i], st.heap[small] = st.heap[small], st.heap[i]
+		h[i], h[small] = h[small], h[i]
 		i = small
 	}
 }
@@ -276,7 +285,7 @@ func (st *Stream) Next() (*Event, error) {
 	if len(st.heap) == 0 {
 		return nil, nil
 	}
-	i := st.heap[0]
+	i := st.heap[0].src
 	s := &st.srcs[i]
 	// Copy before refilling: the source reuses its frame storage.
 	st.evBuf = s.cur[s.pos]
@@ -286,10 +295,12 @@ func (st *Stream) Next() (*Event, error) {
 			st.err = err
 			return nil, err
 		}
-		if s.cur == nil {
-			st.heap[0] = st.heap[len(st.heap)-1]
-			st.heap = st.heap[:len(st.heap)-1]
-		}
+	}
+	if s.cur != nil {
+		st.heap[0] = keyOf(&s.cur[s.pos], i)
+	} else {
+		st.heap[0] = st.heap[len(st.heap)-1]
+		st.heap = st.heap[:len(st.heap)-1]
 	}
 	st.siftDown(0)
 	if st.events == 0 {
