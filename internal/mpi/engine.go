@@ -10,10 +10,12 @@ import (
 // Engine selects the rank-execution strategy of a World run.
 //
 // The event engine (the Virtual-mode default) drives ranks as resumable
-// state machines from a central virtual-clock event queue: exactly one
-// rank steps at a time, blocking operations park the rank's goroutine and
-// hand control back to the scheduler, and wildcard receives are resolved
-// at event-queue quiescence instead of by polling.  It produces traces
+// state machines ordered by a virtual-clock event queue: exactly one rank
+// holds the run token at a time, and a blocking operation parks the
+// rank's goroutine after the rank itself passes the token to the ready
+// rank with the lowest (clock, rank) key — there is no scheduler
+// goroutine in between.  Wildcard receives are resolved at event-queue
+// quiescence instead of by polling.  It produces traces
 // byte-identical to the goroutine engine (the migration oracle in
 // engine_diff_test.go enforces this) while scaling to 10⁴–10⁵ ranks in
 // one process, because no rank ever spins and scheduler state is
