@@ -10,13 +10,15 @@
 #   make fuzz    — conformance-fuzzer smoke: a fixed-seed atsfuzz run, a
 #                  perturbed (robustness-axis) run, a replay of the
 #                  committed corpus (CI's second job), plus 10 s each of
-#                  the native fuzz targets for the ATS1 and ATSC decoders.
+#                  the native fuzz targets for the ATS1 reader, the ATSC
+#                  frame parser and whole ATSC spools.
 #   make baseline— re-seed testdata/regress-store from a fresh run (only
 #                  after an intentional severity change; commit the result).
 #   make bench-json — run the Runtime/Scale/StreamAnalyze benchmark suite
-#                  plus the trace-codec micro-benches (timed, with
-#                  allocation counts) and the untraced 4096-rank event
-#                  engine (timed) and drop a machine-readable snapshot at
+#                  plus the trace-codec micro-benches and the per-layer
+#                  conformance-oracle bench (timed, with allocation
+#                  counts) and the untraced 4096-rank event engine
+#                  (timed) and drop a machine-readable snapshot at
 #                  testdata/bench/BENCH_<date>.json (commit it to extend
 #                  the perf trajectory).
 #   make docs    — documentation conformance: every relative markdown link
@@ -82,6 +84,7 @@ fuzz:
 	$(GO) run ./cmd/atsfuzz replay $(CORPUS)/*.json
 	$(GO) test -run '^$$' -fuzz '^FuzzReadLimited$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkFrame$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzChunkSpool$$' -fuzztime 10s ./internal/trace
 
 baseline:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
@@ -93,6 +96,8 @@ bench-json:
 	{ $(GO) test -run '^$$' -bench '^Benchmark(Runtime_|Scale_|StreamAnalyze)' -benchtime 3x . && \
 	  $(GO) test -run '^$$' -bench '^Benchmark(ChunkSpill|ChunkStreamDecode|TraceWriteRead)$$' \
 		-benchmem -benchtime 1s ./internal/trace && \
+	  $(GO) test -run '^$$' -bench '^BenchmarkConformanceCheck$$' \
+		-benchmem -benchtime 1s ./internal/conformance && \
 	  $(GO) test -run '^$$' -bench '^BenchmarkEventEngineRanks/procs=4096$$' \
 		-benchtime 1s ./internal/mpi; } \
 		| $(GO) run ./cmd/benchjson -out $(BENCH_DIR)/BENCH_$$(date +%Y%m%d).json

@@ -31,7 +31,9 @@
 package ats
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/analyzer"
@@ -144,22 +146,20 @@ type StreamOutcome struct {
 	Events         int
 }
 
-// streamed orchestrates one bounded-memory run: spool events through a
+// streamed orchestrates one bounded-memory run: spool events into a
 // temporary chunk file while run executes, then merge and analyze the
-// spool incrementally.  The spool is removed before returning.
+// spool incrementally through the same open file.  The spool is removed
+// before returning.
 func streamed(threshold float64, run func(trace.Sink) error) (*StreamOutcome, error) {
 	f, err := os.CreateTemp("", "ats-spool-*.atsc")
 	if err != nil {
 		return nil, err
 	}
-	spool := f.Name()
-	f.Close()
-	defer os.Remove(spool)
+	defer os.Remove(f.Name())
+	defer f.Close()
 
-	w, err := trace.NewChunkWriter(spool, trace.DefaultSpillEvents)
-	if err != nil {
-		return nil, err
-	}
+	bw := bufio.NewWriterSize(f, 1<<16)
+	w := trace.NewChunkWriterTo(bw, trace.DefaultSpillEvents)
 	if err := run(w); err != nil {
 		w.Abort()
 		return nil, err
@@ -167,14 +167,19 @@ func streamed(threshold float64, run func(trace.Sink) error) (*StreamOutcome, er
 	if err := w.Close(); err != nil {
 		return nil, err
 	}
-
-	r, err := trace.OpenChunkFile(spool)
+	if err := bw.Flush(); err != nil {
+		return nil, err
+	}
+	size, err := f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return nil, err
+	}
+	r, err := trace.NewChunkReader(f, size, trace.Limits{})
 	if err != nil {
 		return nil, err
 	}
 	st, err := trace.NewStream(r)
 	if err != nil {
-		r.Close()
 		return nil, err
 	}
 	defer st.Close()

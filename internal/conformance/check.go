@@ -1,8 +1,8 @@
 package conformance
 
 import (
+	"bytes"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 
@@ -25,7 +25,8 @@ const (
 	// AxisNegative: a non-injected property rose above the noise floor.
 	AxisNegative = "negative"
 	// AxisDeterminism: the identical case produced a different profile
-	// hash.  The rerun goes through the streaming pipeline (chunk spool +
+	// hash.  The rerun is a second execution through the streaming
+	// pipeline (ATSC chunk spool, encoded and decoded in memory, plus
 	// incremental analysis), so this axis simultaneously proves that the
 	// streamed and materialized analysis paths are byte-identical.
 	AxisDeterminism = "determinism"
@@ -357,23 +358,16 @@ func caseRunInfo(cs Case) profile.RunInfo {
 }
 
 // streamedCaseHash re-executes the case through the bounded-memory
-// streaming pipeline — events spilled to a temporary chunk spool, analyzed
-// incrementally, never materialized — and returns the resulting profile
-// hash.  Comparing it against the in-memory hash checks determinism and
-// streamed/materialized equivalence in one shot.
+// streaming pipeline — events spilled frame by frame into an ATSC spool,
+// decoded back and analyzed incrementally, never materialized — and
+// returns the resulting profile hash.  Comparing it against the in-memory
+// hash checks determinism and streamed/materialized equivalence in one
+// shot.  The spool stays in memory: it holds the same bytes a spool file
+// would, at under half the bytes per event of the materialized trace the
+// first run already needed.
 func streamedCaseHash(cs Case, prof perturb.Profile) (string, error) {
-	f, err := os.CreateTemp("", "conformance-spool-*.atsc")
-	if err != nil {
-		return "", err
-	}
-	spool := f.Name()
-	f.Close()
-	defer os.Remove(spool)
-
-	w, err := trace.NewChunkWriter(spool, trace.DefaultSpillEvents)
-	if err != nil {
-		return "", err
-	}
+	var spool bytes.Buffer
+	w := trace.NewChunkWriterTo(&spool, trace.DefaultSpillEvents)
 	opts := mpi.Options{Procs: cs.Procs, Perturb: perturb.NewModel(prof), Sink: w}
 	if _, err := mpi.Run(opts, caseBody(cs)); err != nil {
 		w.Abort()
@@ -383,13 +377,12 @@ func streamedCaseHash(cs Case, prof perturb.Profile) (string, error) {
 		return "", err
 	}
 
-	r, err := trace.OpenChunkFile(spool)
+	r, err := trace.NewChunkReader(bytes.NewReader(spool.Bytes()), int64(spool.Len()), trace.Limits{})
 	if err != nil {
 		return "", err
 	}
 	st, err := trace.NewStream(r)
 	if err != nil {
-		r.Close()
 		return "", err
 	}
 	defer st.Close()

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -102,20 +103,18 @@ func measurePeak(f func() error) (peak uint64, elapsed time.Duration, err error)
 }
 
 // runScaleStreamed executes the scale program through the chunk-spool
-// streaming pipeline and returns (events, profile hash).
+// streaming pipeline and returns (events, profile hash).  The spool is one
+// temporary file, written and then read back through the same handle.
 func runScaleStreamed(procs int, body func(c *mpi.Comm)) (int, string, error) {
 	f, err := os.CreateTemp("", "scale-spool-*.atsc")
 	if err != nil {
 		return 0, "", err
 	}
-	spool := f.Name()
-	f.Close()
-	defer os.Remove(spool)
+	defer os.Remove(f.Name())
+	defer f.Close()
 
-	w, err := trace.NewChunkWriter(spool, trace.DefaultSpillEvents)
-	if err != nil {
-		return 0, "", err
-	}
+	bw := bufio.NewWriterSize(f, 1<<16)
+	w := trace.NewChunkWriterTo(bw, trace.DefaultSpillEvents)
 	if _, err := mpi.Run(mpi.Options{Procs: procs, Sink: w}, body); err != nil {
 		w.Abort()
 		return 0, "", err
@@ -123,13 +122,19 @@ func runScaleStreamed(procs int, body func(c *mpi.Comm)) (int, string, error) {
 	if err := w.Close(); err != nil {
 		return 0, "", err
 	}
-	r, err := trace.OpenChunkFile(spool)
+	if err := bw.Flush(); err != nil {
+		return 0, "", err
+	}
+	size, err := f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return 0, "", err
+	}
+	r, err := trace.NewChunkReader(f, size, trace.Limits{})
 	if err != nil {
 		return 0, "", err
 	}
 	st, err := trace.NewStream(r)
 	if err != nil {
-		r.Close()
 		return 0, "", err
 	}
 	defer st.Close()

@@ -140,22 +140,24 @@ func (s *Server) analyzeSpool(path, experiment string, threshold float64) (*prof
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close()
 	var magic [4]byte
 	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		f.Close()
 		return nil, fmt.Errorf("trace body: %w", err)
 	}
 	opt := analyzer.Options{Threshold: threshold}
 	switch string(magic[:]) {
 	case "ATSC":
-		f.Close()
-		cr, err := trace.OpenChunkFileLimited(path, s.cfg.Limits)
+		fi, err := f.Stat()
+		if err != nil {
+			return nil, err
+		}
+		cr, err := trace.NewChunkReader(f, fi.Size(), s.cfg.Limits)
 		if err != nil {
 			return nil, err
 		}
 		st, err := trace.NewStream(cr)
 		if err != nil {
-			cr.Close()
 			return nil, err
 		}
 		defer st.Close()
@@ -165,7 +167,6 @@ func (s *Server) analyzeSpool(path, experiment string, threshold float64) (*prof
 		}
 		return profile.FromAnalysis(experiment, profile.TraceInfoOfStream(st), rep, profile.RunInfo{})
 	case "ATS1":
-		defer f.Close()
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
 			return nil, err
 		}
@@ -176,7 +177,6 @@ func (s *Server) analyzeSpool(path, experiment string, threshold float64) (*prof
 		rep := analyzer.Analyze(tr, opt)
 		return profile.FromRun(experiment, tr, rep, profile.RunInfo{})
 	default:
-		f.Close()
 		return nil, fmt.Errorf("unrecognized trace format %q (want ATS1 or ATSC)", magic[:])
 	}
 }

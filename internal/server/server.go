@@ -5,7 +5,7 @@
 // POST /v1/cases) and serialized traces (raw ATS1 or ATSC bytes,
 // POST /v1/traces).  Each submission is analyzed through exactly the
 // same code path as the offline CLI tools — conformance.CaseProfile for
-// cases, trace.ReadLimited/OpenChunkFileLimited plus the analyzer for
+// cases, trace.ReadLimited/NewChunkReader plus the analyzer for
 // traces — so a server-side report carries the same profile content
 // hash the offline path would produce on the same input.  The resulting
 // profile is stored in a regress.Store, compared against the

@@ -13,13 +13,14 @@ import (
 	"sync"
 )
 
-// Chunked trace spool format ("ATSC") — the on-disk shape of a streaming
-// run.  Where an ATS1 file is one fully merged trace, an ATSC file is a
-// multiplexed spool of per-location chunk frames appended while the run
-// executes, so no executor ever holds more than one chunk of events in
-// memory.  A single file carries every location (one file per rank would
-// exhaust file-descriptor limits at large rank counts); an index footer
-// lets readers walk each location's frames independently via pread.
+// Chunked trace spool format ("ATSC") — the serialized shape of a
+// streaming run, in a file or in memory.  Where an ATS1 file is one fully
+// merged trace, an ATSC spool is a multiplex of per-location chunk frames
+// appended while the run executes, so no executor ever holds more than one
+// chunk of events in memory.  A single spool carries every location (one
+// file per rank would exhaust file-descriptor limits at large rank
+// counts); an index footer lets readers walk each location's frames
+// independently via ReadAt.
 //
 //	header   magic "ATSC", version byte (1)
 //	frames   frame*
@@ -99,47 +100,72 @@ type frameRef struct {
 	off, len int64
 }
 
-// ChunkWriter spools per-location trace buffers into a single ATSC file.
-// It implements Sink.  All methods are safe for concurrent use; a shared
-// buffered writer serializes frame appends.  Like the ATS1 writers, the
-// spool is written to a temporary file and renamed into place on Close, so
-// a crash never leaves a truncated spool at the target path.
+// ChunkWriter spools per-location trace buffers into one ATSC spool.  It
+// implements Sink.  All methods are safe for concurrent use; a mutex
+// serializes frame appends to the destination.  NewChunkWriterTo encodes
+// to any io.Writer; NewChunkWriter is the file-backed case, which, like
+// the ATS1 writers, writes a temporary file and renames it into place on
+// Close, so a crash never leaves a truncated spool at the target path.
 type ChunkWriter struct {
 	mu        sync.Mutex
-	path, tmp string
-	f         *os.File
-	bw        *bufio.Writer
+	dst       io.Writer
 	off       int64
 	threshold int
 	streams   map[Location]*chunkStream
 	frame     []byte // encoding scratch, reused across frames
 	err       error
 	closed    bool
+
+	// File-backed spools only (NewChunkWriter): dst buffers f, which is
+	// renamed from tmp to path on a successful Close.
+	bw        *bufio.Writer
+	f         *os.File
+	path, tmp string
 }
 
-// NewChunkWriter creates a spool that will land at path on Close.
-// spillEvents is the per-location event count that triggers a frame flush;
-// values <= 0 select DefaultSpillEvents.
-func NewChunkWriter(path string, spillEvents int) (*ChunkWriter, error) {
+// NewChunkWriterTo creates a spool that encodes to dst: the header now,
+// one Write per frame while the run executes, and the index and trailer
+// on Close.  The bytes are exactly those NewChunkWriter lands at its path.
+// dst is written unbuffered; wrap a file in a bufio.Writer (and flush it
+// after Close) to batch the writes.  spillEvents is the per-location event
+// count that triggers a frame flush; values <= 0 select
+// DefaultSpillEvents.
+func NewChunkWriterTo(dst io.Writer, spillEvents int) *ChunkWriter {
 	if spillEvents <= 0 {
 		spillEvents = DefaultSpillEvents
 	}
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return nil, err
-	}
 	w := &ChunkWriter{
-		path:      path,
-		tmp:       f.Name(),
-		f:         f,
-		bw:        bufio.NewWriterSize(f, 1<<16),
+		dst:       dst,
 		off:       chunkHeaderLen,
 		threshold: spillEvents,
 		streams:   make(map[Location]*chunkStream),
 	}
-	w.bw.Write(chunkMagic[:]) // bufio errors are sticky; surfaced at Close
-	w.bw.WriteByte(chunkVersion)
+	w.frame = append(append(w.frame, chunkMagic[:]...), chunkVersion)
+	w.write(w.frame)
+	return w
+}
+
+// NewChunkWriter creates a spool that will land at path on Close.
+// spillEvents is as for NewChunkWriterTo.
+func NewChunkWriter(path string, spillEvents int) (*ChunkWriter, error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return nil, err
+	}
+	bw := bufio.NewWriterSize(f, 1<<16)
+	w := NewChunkWriterTo(bw, spillEvents)
+	w.bw, w.f, w.path, w.tmp = bw, f, path, f.Name()
 	return w, nil
+}
+
+// write sends p to the destination unless an error is already sticky.
+func (w *ChunkWriter) write(p []byte) {
+	if w.err != nil {
+		return
+	}
+	if _, err := w.dst.Write(p); err != nil {
+		w.fail(err)
+	}
 }
 
 // fail records the first error; later operations keep draining buffers so
@@ -221,8 +247,8 @@ func (w *ChunkWriter) spillLocked(b *Buffer) {
 	n := 1 + binary.PutUvarint(env[1:], uint64(body))
 	start := maxEnvelope - n
 	copy(buf[start:], env[:n])
-	if _, err := w.bw.Write(buf[start:]); err != nil {
-		w.fail(err)
+	w.write(buf[start:])
+	if w.err != nil {
 		return
 	}
 	s.frames = append(s.frames, frameRef{off: w.off + int64(n), len: int64(body)})
@@ -270,10 +296,10 @@ func (w *ChunkWriter) Finish(b *Buffer) error {
 	return w.err
 }
 
-// Close ends the frame section, writes the index and trailer, and renames
-// the spool into place.  Every attached buffer must have been finished.
-// On error (including any sticky spill error) the temporary file is
-// removed and nothing lands at the target path.
+// Close ends the frame section and writes the index and trailer.  Every
+// attached buffer must have been finished.  A file-backed spool is then
+// renamed into place; on error (including any sticky spill error) its
+// temporary file is removed and nothing lands at the target path.
 func (w *ChunkWriter) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -287,20 +313,41 @@ func (w *ChunkWriter) Close() error {
 			break
 		}
 	}
-	if w.err != nil {
-		w.f.Close()
-		os.Remove(w.tmp)
+	if w.err == nil {
+		w.writeIndex()
+	}
+	if w.err == nil && w.bw != nil {
+		if err := w.bw.Flush(); err != nil {
+			w.fail(err)
+		}
+	}
+	if w.f == nil {
 		return w.err
 	}
-	w.bw.WriteByte(chunkTagEnd)
-	w.off++
-	indexOff := w.off
+	if err := w.f.Close(); err != nil {
+		w.fail(err)
+	}
+	if w.err == nil {
+		if err := os.Rename(w.tmp, w.path); err != nil {
+			w.fail(err)
+		}
+	}
+	if w.err != nil {
+		os.Remove(w.tmp)
+	}
+	return w.err
+}
+
+// writeIndex ends the frame section and appends the index and trailer.
+func (w *ChunkWriter) writeIndex() {
+	indexOff := w.off + 1 // after the end tag
 	locs := make([]Location, 0, len(w.streams))
 	for loc := range w.streams {
 		locs = append(locs, loc)
 	}
 	sort.Slice(locs, func(i, j int) bool { return locs[i].less(locs[j]) })
-	idx := binary.AppendUvarint(w.frame[:0], uint64(len(locs)))
+	idx := append(w.frame[:0], chunkTagEnd)
+	idx = binary.AppendUvarint(idx, uint64(len(locs)))
 	for _, loc := range locs {
 		s := w.streams[loc]
 		idx = appendLocation(idx, loc)
@@ -313,29 +360,14 @@ func (w *ChunkWriter) Close() error {
 	}
 	idx = binary.LittleEndian.AppendUint64(idx, uint64(indexOff))
 	idx = append(idx, chunkTrailerMagic[:]...)
-	w.bw.Write(idx) // bufio errors are sticky; surfaced by Flush
-	if err := w.bw.Flush(); err != nil {
-		w.fail(err)
-		w.f.Close()
-		os.Remove(w.tmp)
-		return w.err
-	}
-	if err := w.f.Close(); err != nil {
-		w.fail(err)
-		os.Remove(w.tmp)
-		return w.err
-	}
-	if err := os.Rename(w.tmp, w.path); err != nil {
-		w.fail(err)
-		os.Remove(w.tmp)
-		return w.err
-	}
-	return nil
+	w.frame = idx
+	w.write(idx)
 }
 
-// Abort discards the spool without landing anything at the target path.
-// Safe to call at any time (including after Close, where it is a no-op);
-// buffers still attached keep draining into the void.
+// Abort discards the spool: a file-backed spool leaves nothing at the
+// target path, and a writer-backed one writes nothing more to its
+// destination.  Safe to call at any time (including after Close, where it
+// is a no-op); buffers still attached keep draining into the void.
 func (w *ChunkWriter) Abort() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -344,8 +376,10 @@ func (w *ChunkWriter) Abort() {
 	}
 	w.closed = true
 	w.fail(errors.New("trace: chunk writer aborted"))
-	w.f.Close()
-	os.Remove(w.tmp)
+	if w.f != nil {
+		w.f.Close()
+		os.Remove(w.tmp)
+	}
 }
 
 // chunkIndexEntry is the reader-side index of one location's frames.
@@ -356,51 +390,56 @@ type chunkIndexEntry struct {
 }
 
 // ChunkReader opens an ATSC spool for streaming.  Per-location cursors
-// read frames via ReadAt on the shared file handle, so a k-way merge over
-// all locations holds at most one decoded frame per location.  Obtain a
-// merged event stream with NewStream.
+// read frames via ReadAt on the shared source, so a k-way merge over all
+// locations holds at most one decoded frame per location.  Obtain a merged
+// event stream with NewStream.
 type ChunkReader struct {
-	f        *os.File
-	size     int64
+	src      io.ReaderAt
+	file     *os.File // set when the reader opened the spool itself
 	indexOff int64
 	lim      Limits
 	streams  []chunkIndexEntry
 }
 
-// OpenChunkFile opens and validates the spool at path: magic, version,
-// trailer, and every index entry (locations sorted and distinct, frame
-// ranges inside the frame section, counts plausible for the file size).
+// OpenChunkFile opens and validates the spool at path (see NewChunkReader).
 func OpenChunkFile(path string) (*ChunkReader, error) {
 	return OpenChunkFileLimited(path, Limits{})
 }
 
 // OpenChunkFileLimited is OpenChunkFile with additional policy caps for
 // untrusted network ingest (see Limits); the zero Limits is exactly
-// OpenChunkFile.
+// OpenChunkFile.  Closing the reader closes the file.
 func OpenChunkFileLimited(path string, lim Limits) (*ChunkReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	r, err := newChunkReader(f, lim)
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	r, err := NewChunkReader(f, st.Size(), lim)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	r.file = f
 	return r, nil
 }
 
-func newChunkReader(f *os.File, lim Limits) (*ChunkReader, error) {
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	size := st.Size()
+// NewChunkReader validates the size-byte spool held by src: magic,
+// version, trailer, and every index entry (locations sorted and distinct,
+// frame ranges inside the frame section, counts plausible for the size),
+// under the policy caps lim (the zero Limits adds none).  src must stay
+// readable until the reader is closed; Close does not close it.
+func NewChunkReader(src io.ReaderAt, size int64, lim Limits) (*ChunkReader, error) {
 	if size < chunkHeaderLen+1+chunkTrailerLen {
 		return nil, fmt.Errorf("trace: chunk file too short (%d bytes)", size)
 	}
+	r := &ChunkReader{src: src, lim: lim}
 	var hdr [chunkHeaderLen]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
+	if err := r.readAt(hdr[:], 0); err != nil {
 		return nil, fmt.Errorf("trace: reading chunk header: %w", err)
 	}
 	if [4]byte(hdr[:4]) != chunkMagic {
@@ -410,25 +449,37 @@ func newChunkReader(f *os.File, lim Limits) (*ChunkReader, error) {
 		return nil, fmt.Errorf("trace: unsupported chunk version %d (want %d)", hdr[4], chunkVersion)
 	}
 	var tail [chunkTrailerLen]byte
-	if _, err := f.ReadAt(tail[:], size-chunkTrailerLen); err != nil {
+	if err := r.readAt(tail[:], size-chunkTrailerLen); err != nil {
 		return nil, fmt.Errorf("trace: reading chunk trailer: %w", err)
 	}
 	if [4]byte(tail[8:]) != chunkTrailerMagic {
 		return nil, fmt.Errorf("trace: bad chunk trailer magic %q", tail[8:])
 	}
-	indexOff := int64(binary.LittleEndian.Uint64(tail[:8]))
-	if indexOff < chunkHeaderLen+1 || indexOff > size-chunkTrailerLen {
-		return nil, fmt.Errorf("trace: chunk index offset %d outside file", indexOff)
+	r.indexOff = int64(binary.LittleEndian.Uint64(tail[:8]))
+	if r.indexOff < chunkHeaderLen+1 || r.indexOff > size-chunkTrailerLen {
+		return nil, fmt.Errorf("trace: chunk index offset %d outside file", r.indexOff)
 	}
-	idx := make([]byte, size-chunkTrailerLen-indexOff)
-	if _, err := f.ReadAt(idx, indexOff); err != nil {
+	idx := make([]byte, size-chunkTrailerLen-r.indexOff)
+	if err := r.readAt(idx, r.indexOff); err != nil {
 		return nil, fmt.Errorf("trace: reading chunk index: %w", err)
 	}
-	r := &ChunkReader{f: f, size: size, indexOff: indexOff, lim: lim}
 	if err := r.parseIndex(idx); err != nil {
 		return nil, err
 	}
 	return r, nil
+}
+
+// readAt fills p from the source at off.  A full read counts as success
+// even when the source reports io.EOF alongside it, as io.ReaderAt allows.
+func (r *ChunkReader) readAt(p []byte, off int64) error {
+	n, err := r.src.ReadAt(p, off)
+	if n == len(p) {
+		return nil
+	}
+	if err == nil || err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 func (r *ChunkReader) parseIndex(idx []byte) error {
@@ -514,8 +565,14 @@ func (r *ChunkReader) Events() int {
 	return int(n)
 }
 
-// Close releases the underlying file.
-func (r *ChunkReader) Close() error { return r.f.Close() }
+// Close closes the file a reader from OpenChunkFile opened; for a reader
+// from NewChunkReader it is a no-op.
+func (r *ChunkReader) Close() error {
+	if r.file == nil {
+		return nil
+	}
+	return r.file.Close()
+}
 
 // chunkCursor iterates one location's frames, maintaining the location's
 // locally-interned region and path tables across frames.  The decoded
@@ -569,7 +626,7 @@ func (c *chunkCursor) next() ([]Event, error) {
 			c.buf = make([]byte, fr.len)
 		}
 		buf := c.buf[:fr.len]
-		if _, err := c.r.f.ReadAt(buf, fr.off); err != nil {
+		if err := c.r.readAt(buf, fr.off); err != nil {
 			return nil, fmt.Errorf("trace: chunk stream %v: reading frame at %d: %w", c.ent.loc, fr.off, err)
 		}
 		evs, err := c.parseFrame(buf)

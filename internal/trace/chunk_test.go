@@ -68,6 +68,13 @@ func buildSpool(t *testing.T, path string, locs []fixtureLoc, events, spillEvent
 	if err != nil {
 		t.Fatalf("NewChunkWriter: %v", err)
 	}
+	recordSpool(t, w, locs, events)
+}
+
+// recordSpool records the fixture events into w location by location and
+// closes it.
+func recordSpool(t *testing.T, w *ChunkWriter, locs []fixtureLoc, events int) {
+	t.Helper()
 	for _, l := range locs {
 		b := NewBuffer(l.loc)
 		w.Attach(b)

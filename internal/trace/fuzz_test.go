@@ -2,17 +2,18 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
 )
 
-// Native fuzz targets for the two decoders that atsd runs on untrusted
-// uploads.  Every input must decode without panicking and without
-// allocating more than its size admits under checkCount and Limits; an
-// input that decodes must re-encode to exactly the bytes it was decoded
-// from.
+// Native fuzz targets for the decoders that atsd runs on untrusted
+// uploads: ATS1, a single ATSC frame, and a whole ATSC spool.  Every input
+// must decode without panicking and without allocating more than its size
+// admits under checkCount and Limits; an ATS1 input or frame that decodes
+// must re-encode to exactly the bytes it was decoded from.
 
 var fuzzLimits = Limits{MaxEvents: 1 << 12, MaxLocations: 1 << 8, MaxFrame: 1 << 16}
 
@@ -75,16 +76,11 @@ func FuzzReadLimited(f *testing.F) {
 	})
 }
 
-func FuzzChunkFrame(f *testing.F) {
-	// Seed with the first frames of a spool of short frames and of one of
-	// full-size frames (later frames depend on earlier tables), and with
-	// corrupt variants of one of them.
-	dir := f.TempDir()
-	multi := filepath.Join(dir, "multi.atsc")
-	w, err := NewChunkWriter(multi, 3)
-	if err != nil {
-		f.Fatal(err)
-	}
+// goldenSpool encodes the golden program into an in-memory spool of
+// three-event frames.
+func goldenSpool(tb testing.TB) []byte {
+	var spool bytes.Buffer
+	w := NewChunkWriterTo(&spool, 3)
 	bufs := goldenBuffers()
 	for _, b := range bufs {
 		w.Attach(b)
@@ -92,33 +88,45 @@ func FuzzChunkFrame(f *testing.F) {
 	recordGolden(bufs)
 	for _, b := range bufs {
 		if err := w.Finish(b); err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if err := w.Close(); err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
-	long := filepath.Join(dir, "long.atsc")
-	writeBenchSpool(f, long)
+	return spool.Bytes()
+}
+
+// longSpool returns the benchmark program's spool of full-size frames.
+func longSpool(tb testing.TB) []byte {
+	path := filepath.Join(tb.TempDir(), "long.atsc")
+	writeBenchSpool(tb, path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+func FuzzChunkFrame(f *testing.F) {
+	// Seed with the first frames of a spool of short frames and of one of
+	// full-size frames (later frames depend on earlier tables), and with
+	// corrupt variants of one of them.
 	var (
 		first    []byte
 		firstLoc Location
 	)
-	for _, path := range []string{multi, long} {
-		r, err := OpenChunkFile(path)
+	for _, spool := range [][]byte{goldenSpool(f), longSpool(f)} {
+		r, err := NewChunkReader(bytes.NewReader(spool), int64(len(spool)), Limits{})
 		if err != nil {
 			f.Fatal(err)
 		}
 		for _, s := range r.streams[:len(goldenLocations)] {
 			fr := s.frames[0]
-			body := make([]byte, fr.len)
-			if _, err := r.f.ReadAt(body, fr.off); err != nil {
-				f.Fatal(err)
-			}
+			body := spool[fr.off : fr.off+fr.len]
 			f.Add(s.loc.Rank, s.loc.Thread, body)
 			first, firstLoc = body, s.loc
 		}
-		r.Close()
 	}
 	garbage := bytes.Clone(first)
 	for i := 2; i < 12 && i < len(garbage); i++ {
@@ -146,6 +154,67 @@ func FuzzChunkFrame(f *testing.F) {
 		out := appendFrame(nil, loc, c.regions, c.pathParent[1:], c.pathRegion[1:], evs)
 		if !bytes.Equal(out, body) {
 			t.Fatalf("re-encoding differs from the decoded frame:\n in  %x\n out %x", body, out)
+		}
+	})
+}
+
+// drainSpool opens data as an ATSC spool under fuzzLimits and drains the
+// merged stream over it, returning the event and location counts.
+func drainSpool(data []byte) (events, locations int, err error) {
+	r, err := NewChunkReader(bytes.NewReader(data), int64(len(data)), fuzzLimits)
+	if err != nil {
+		return 0, 0, err
+	}
+	st, err := NewStream(r)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer st.Close()
+	for {
+		ev, err := st.Next()
+		if err != nil {
+			return 0, 0, err
+		}
+		if ev == nil {
+			return st.Events(), len(st.Locations()), nil
+		}
+	}
+}
+
+func FuzzChunkSpool(f *testing.F) {
+	// Seed with whole spools — short and full-size frames, and one with no
+	// streams — plus truncated and trailer-corrupted variants, so the
+	// index and trailer parser is reached from the first input.
+	golden := goldenSpool(f)
+	var empty bytes.Buffer
+	if err := NewChunkWriterTo(&empty, 0).Close(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add(longSpool(f))
+	f.Add(empty.Bytes())
+	f.Add(golden[:len(golden)/2])
+	f.Add(golden[:len(golden)-1])
+	badMagic := bytes.Clone(golden)
+	badMagic[len(badMagic)-1] = 'Z'
+	f.Add(badMagic)
+	for _, off := range []uint64{0, chunkHeaderLen + 2, uint64(len(golden))} {
+		bad := bytes.Clone(golden)
+		binary.LittleEndian.PutUint64(bad[len(bad)-chunkTrailerLen:], off)
+		f.Add(bad)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var events, locations int
+		var err error
+		if n := allocated(func() { events, locations, err = drainSpool(data) }); n > allocBudget(len(data)) {
+			t.Fatalf("decoding a %d-byte spool allocated %d", len(data), n)
+		}
+		if err != nil {
+			return
+		}
+		if int64(events) > fuzzLimits.MaxEvents || locations > fuzzLimits.MaxLocations {
+			t.Fatalf("admitted %d events at %d locations past %+v", events, locations, fuzzLimits)
 		}
 	})
 }
