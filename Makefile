@@ -30,7 +30,7 @@
 #                  injected drift fails the client with exit 1.
 #   make cache-smoke — result-cache smoke: run a seeded atsfuzz sweep
 #                  twice against one cache (warm pass must hit >=95% and
-#                  print byte-identical stdout), check -procs 2 output
+#                  print byte-identical stdout), check -j 1 output
 #                  equality, and exercise `atsfuzz cache gc`.
 #   make similar-smoke — similarity-index smoke: index a copy of the
 #                  committed seed store plus generated profiles, assert

@@ -14,8 +14,8 @@
 //	atsbench -only fig35     # one experiment
 //	atsbench -profiles DIR   # also emit one canonical profile per run,
 //	                         # ready for `atsregress save` / `check`
-//	atsbench -j 8            # run experiment campaigns 8 jobs at a time
-//	                         # (output and profiles identical for any -j)
+//	GOMAXPROCS=8 atsbench    # run experiment campaigns 8 jobs at a time
+//	                         # (output and profiles identical for any value)
 //	atsbench -only scale -stream
 //	                         # streamed-vs-materialized memory comparison,
 //	                         # extended to 1024 ranks
@@ -35,7 +35,6 @@ import (
 	"strings"
 
 	"repro/internal/analyzer"
-	"repro/internal/campaign"
 	"repro/internal/conformance"
 	"repro/internal/experiments"
 	"repro/internal/grindstone"
@@ -57,7 +56,6 @@ func main() {
 		only       = flag.String("only", "", "run a single experiment (fig32, fig33, fig35, positive, negative, perturbed, ch2, ch4, micro, grind, work, ablation, scale, scalebig, similarity)")
 		perturbMax = flag.Int("perturb", 3, "highest perturbation level for the perturbed experiment (0..N)")
 		profDir    = flag.String("profiles", "", "emit canonical profiles (one JSON per analyzed run) into this directory")
-		jobs       = flag.Int("j", 0, "concurrent campaign jobs inside experiments (0: one per CPU)")
 		cpuProf    = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 		memProf    = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 		stream     = flag.Bool("stream", false, "extend the scale experiment to 1024 ranks (streamed vs materialized memory comparison)")
@@ -92,11 +90,6 @@ func main() {
 				st.Hits, st.Misses, st.Puts, c.Dir())
 		}()
 	}
-
-	// -j flows to every campaign.Run/Stream in the experiment layer
-	// through the process-wide default, so the experiment signatures stay
-	// free of concurrency plumbing.  Output is identical for any value.
-	campaign.SetDefaultWorkers(*jobs)
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)

@@ -34,8 +34,8 @@ import (
 // Options tunes a campaign.
 type Options struct {
 	// Workers bounds the number of concurrently running jobs.  Zero (the
-	// common case) selects the process-wide default (DefaultWorkers);
-	// negative values are treated as 1.
+	// common case) selects DefaultWorkers(); negative values are treated
+	// as 1.
 	Workers int
 }
 
@@ -56,29 +56,9 @@ func (o Options) workers(n int) int {
 	return w
 }
 
-// defaultWorkers holds the process-wide default worker count; zero means
-// "derive from GOMAXPROCS at call time".
-var defaultWorkers atomic.Int64
-
 // DefaultWorkers returns the worker count used when Options.Workers is
-// zero: the value installed with SetDefaultWorkers, or GOMAXPROCS.
-func DefaultWorkers() int {
-	if n := defaultWorkers.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// SetDefaultWorkers installs the process-wide default concurrency used by
-// every campaign that does not set Options.Workers explicitly.  CLIs wire
-// their -j flag here once instead of threading it through every layer;
-// n <= 0 restores the GOMAXPROCS-derived default.
-func SetDefaultWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	defaultWorkers.Store(int64(n))
-}
+// zero: GOMAXPROCS, so a campaign keeps every usable CPU busy.
+func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // Error is a job failure, annotated with the index of the job that failed.
 type Error struct {
@@ -110,13 +90,10 @@ type result[T any] struct {
 	done  bool
 }
 
-// pool coordinates the three roles every campaign shares — producers
-// claiming job indices, producers recording finished results, and the
-// single collector delivering them in strict index order.  It is the
-// common machinery under runPool (goroutine workers in this process) and
-// Dispatch (worker processes on the other end of a pipe): both get
-// identical ordering, lowest-failing-index, and abandoned-suffix
-// semantics because both run through this one implementation.
+// pool coordinates the three roles of a campaign — workers claiming job
+// indices, workers recording finished results, and the single collector
+// delivering them in strict index order — for runPool, which owns the
+// worker goroutines.
 type pool[T any] struct {
 	n int
 	// next is the dispatch cursor; stopAt is an exclusive upper bound on
@@ -192,14 +169,6 @@ func (p *pool[T]) collect(deliver func(int, T) error) error {
 			p.cond.Wait()
 		}
 		if !p.results[i].done {
-			if firstErr == nil && p.stopAt.Load() >= int64(p.n) {
-				// Producers quit with work left and no recorded failure.
-				// Impossible for in-process workers (they only exit once
-				// claims run dry), but a dispatch whose worker processes
-				// all exited early lands here; silence would misreport a
-				// truncated sweep as a complete one.
-				firstErr = &Error{Index: i, Err: fmt.Errorf("job abandoned: all workers exited before running it")}
-			}
 			break
 		}
 		r := &p.results[i]

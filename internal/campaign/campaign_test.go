@@ -158,19 +158,6 @@ func TestZeroAndTinyCampaigns(t *testing.T) {
 	}
 }
 
-func TestDefaultWorkersOverride(t *testing.T) {
-	old := DefaultWorkers()
-	SetDefaultWorkers(3)
-	if DefaultWorkers() != 3 {
-		t.Fatalf("DefaultWorkers = %d, want 3", DefaultWorkers())
-	}
-	SetDefaultWorkers(0)
-	if DefaultWorkers() < 1 {
-		t.Fatalf("DefaultWorkers = %d after reset", DefaultWorkers())
-	}
-	SetDefaultWorkers(old)
-}
-
 // TestStress hammers the pool with randomized job durations, sporadic
 // errors and panics under the race detector: errors must carry the right
 // index, successful campaigns must deliver everything in order, and no

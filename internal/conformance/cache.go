@@ -5,10 +5,9 @@ package conformance
 // makes its verdicts ideal content-addressed cache entries — a warm
 // sweep replays stored Outcomes byte-identically instead of re-running
 // run+trace+analyze.  The cache is process-wide (SetResultCache), like
-// campaign.SetDefaultWorkers and mpi.SetDefaultEngine: CLIs install it
-// once from their -cache flag and every sweep layer — CheckCached,
-// CheckRobust's per-level loop, noise-floor calibration, the engine
-// differential — shares it.
+// mpi.SetDefaultEngine: CLIs install it once from their -cache flag and
+// every sweep layer — CheckCached, CheckRobust's per-level loop,
+// noise-floor calibration, the engine differential — shares it.
 
 import (
 	"encoding/json"
@@ -77,28 +76,38 @@ func checkKey(cs Case, opt CheckOptions) (string, error) {
 // as an ok one, and a warm rerun of a failing sweep must print the same
 // bytes.
 func CheckCached(cs Case, opt CheckOptions) (Outcome, error) {
+	return cached(func() (string, error) { return checkKey(cs, opt) },
+		func() (Outcome, error) { return Check(cs, opt) })
+}
+
+// cached runs compute behind the installed result cache under the key
+// that key derives: one Get, and on a miss at most one best-effort Put.
+// Without a cache, or when the key cannot be derived, it is exactly
+// compute.  Errors are never cached, and an undecodable entry is
+// recomputed and overwritten.
+func cached[T any](key func() (string, error), compute func() (T, error)) (T, error) {
 	c := ResultCache()
 	if c == nil {
-		return Check(cs, opt)
+		return compute()
 	}
-	key, err := checkKey(cs, opt)
+	k, err := key()
 	if err != nil {
-		return Check(cs, opt)
+		return compute()
 	}
-	if blob, ok := c.Get(key); ok {
-		var out Outcome
-		if json.Unmarshal(blob, &out) == nil {
-			return out, nil
+	if blob, ok := c.Get(k); ok {
+		var v T
+		if json.Unmarshal(blob, &v) == nil {
+			return v, nil
 		}
 	}
-	out, err := Check(cs, opt)
+	v, err := compute()
 	if err != nil {
-		return out, err
+		return v, err
 	}
-	if blob, merr := json.Marshal(out); merr == nil {
-		_ = c.Put(key, blob) // best-effort write-through
+	if blob, merr := json.Marshal(v); merr == nil {
+		_ = c.Put(k, blob) // best-effort write-through
 	}
-	return out, nil
+	return v, nil
 }
 
 // diffKeyDoc keys an engine-differential outcome: it depends on both
@@ -116,35 +125,16 @@ type diffKeyDoc struct {
 // Only agreeing outcomes are cached: a divergence is a finding about the
 // running binary and must be re-observed, never replayed from disk.
 func DiffEnginesCached(cs Case, prof perturb.Profile) (DiffOutcome, error) {
-	c := ResultCache()
-	if c == nil {
-		return DiffEngines(cs, prof)
-	}
-	key, kerr := rescache.Key(diffKeyDoc{
-		Kind:             "conformance/diff",
-		Case:             cs,
-		Perturb:          prof,
-		EventVersion:     mpi.EngineEvent.Version(),
-		GoroutineVersion: mpi.EngineGoroutine.Version(),
-		ProfileSchema:    profile.SchemaVersion,
-	})
-	if kerr != nil {
-		return DiffEngines(cs, prof)
-	}
-	if blob, ok := c.Get(key); ok {
-		var out DiffOutcome
-		if json.Unmarshal(blob, &out) == nil {
-			return out, nil
-		}
-	}
-	out, err := DiffEngines(cs, prof)
-	if err != nil {
-		return out, err
-	}
-	if blob, merr := json.Marshal(out); merr == nil {
-		_ = c.Put(key, blob)
-	}
-	return out, nil
+	return cached(func() (string, error) {
+		return rescache.Key(diffKeyDoc{
+			Kind:             "conformance/diff",
+			Case:             cs,
+			Perturb:          prof,
+			EventVersion:     mpi.EngineEvent.Version(),
+			GoroutineVersion: mpi.EngineGoroutine.Version(),
+			ProfileSchema:    profile.SchemaVersion,
+		})
+	}, func() (DiffOutcome, error) { return DiffEngines(cs, prof) })
 }
 
 // calKeyDoc keys one noise-floor calibration cell.  The profile's seed

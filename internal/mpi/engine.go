@@ -99,9 +99,9 @@ func ParseEngine(s string) (Engine, error) {
 
 // defaultEngine is the process-wide engine used when Options.Engine is
 // EngineAuto, itself defaulting to EngineAuto (= event for Virtual mode).
-// Like campaign.SetDefaultWorkers it exists so CLI tools can apply one
-// -engine flag to every run they orchestrate without threading the option
-// through every experiment signature.
+// It exists so CLI tools can apply one -engine flag to every run they
+// orchestrate without threading the option through every experiment
+// signature.
 var defaultEngine atomic.Uint32
 
 // SetDefaultEngine sets the process-wide engine applied to runs whose

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -248,5 +249,72 @@ func TestGCOnEmptyStore(t *testing.T) {
 	}
 	if n, err := s.Len(); err != nil || n != 0 {
 		t.Fatalf("Len on empty store = %d, %v", n, err)
+	}
+}
+
+// TestConcurrentWritersShareStore: two handles on one directory — as two
+// atsfuzz processes sharing a -cache directory have — write the same and
+// distinct keys at once.  A writer always reads back what it just wrote,
+// readers racing the writers see either a miss or the whole value, and
+// afterwards every key is served and GC finds nothing to remove.
+func TestConcurrentWritersShareStore(t *testing.T) {
+	a := open(t)
+	b, err := Open(a.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := func(key string) []byte { return []byte(`{"key":"` + key + `"}`) }
+	const writers, perWriter = 8, 8
+	var shared []string
+	for i := 0; i < perWriter; i++ {
+		shared = append(shared, mustKey(t, map[string]any{"kind": "shared", "n": i}))
+	}
+	all := append([]string(nil), shared...)
+	own := make([][]string, writers)
+	for w := range own {
+		for i := 0; i < perWriter; i++ {
+			own[w] = append(own[w], mustKey(t, map[string]any{"kind": "distinct", "writer": w, "n": i}))
+		}
+		all = append(all, own[w]...)
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		s := []*Store{a, b}[w%2]
+		wg.Add(1)
+		go func(s *Store, keys []string) {
+			defer wg.Done()
+			for _, k := range keys {
+				if err := s.Put(k, value(k)); err != nil {
+					t.Error(err)
+				}
+				// Read-your-writes: another writer's Put of the same
+				// key may land in between, but never half of it.
+				if got, ok := s.Get(k); !ok || !bytes.Equal(got, value(k)) {
+					t.Errorf("Get(%s) right after Put = %q, %v", k[:12], got, ok)
+				}
+				for _, r := range shared {
+					if got, ok := s.Get(r); ok && !bytes.Equal(got, value(r)) {
+						t.Errorf("torn read of %s: %q", r[:12], got)
+					}
+				}
+			}
+		}(s, append(append([]string(nil), own[w]...), shared...))
+	}
+	wg.Wait()
+
+	for _, s := range []*Store{a, b} {
+		for _, k := range all {
+			if got, ok := s.Get(k); !ok || !bytes.Equal(got, value(k)) {
+				t.Fatalf("Get(%s) = %q, %v after concurrent writes", k[:12], got, ok)
+			}
+		}
+	}
+	res, err := b.GC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Removed != 0 || res.Kept != len(all) || res.Scanned != len(all) {
+		t.Fatalf("GC after concurrent writes = %+v, want %d kept and none removed", res, len(all))
 	}
 }

@@ -4,8 +4,8 @@
 #
 #   1. a warm `atsfuzz run -cache` sweep re-serves >=95% of its results
 #      from the cache and prints byte-identical stdout to the cold run;
-#   2. a multi-process sweep (-procs 2) over a fresh cache prints
-#      byte-identical stdout to the in-process cold run;
+#   2. a sequential sweep (-j 1) over a fresh cache prints
+#      byte-identical stdout to the cold run at the default -j;
 #   3. `atsfuzz cache gc` keeps a healthy cache intact and collects a
 #      corrupted entry;
 #   4. a warm run after gc still hits.
@@ -53,9 +53,9 @@ pct=$((hits * 100 / total))
 echo "   $hits hits / $total lookups = ${pct}%"
 [ "$pct" -ge 95 ] || { echo "warm hit rate ${pct}% < 95%" >&2; exit 1; }
 
-echo "== -procs 2 over a fresh cache must match the in-process sweep"
-run_sweep "$tmp/procs.out" "$tmp/procs.err" -procs 2 -j 2 -cache "$tmp/cache2"
-cmp "$tmp/cold.out" "$tmp/procs.out"
+echo "== -j 1 over a fresh cache must match the default-j sweep"
+run_sweep "$tmp/seq.out" "$tmp/seq.err" -j 1 -cache "$tmp/cache2"
+cmp "$tmp/cold.out" "$tmp/seq.out"
 
 echo "== cache gc keeps a healthy cache"
 "$bin/atsfuzz" cache gc -dir "$cache" | tee "$tmp/gc.out"
