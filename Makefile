@@ -26,8 +26,11 @@
 #                  the flags the cmd/ binaries define.
 #   make server-smoke — end-to-end atsd smoke: start the analysis server
 #                  on a temp store, submit a conformance case and a
-#                  streamed ATSC upload, verify dedup caching, and verify
-#                  injected drift fails the client with exit 1.
+#                  streamed ATSC upload, verify dedup caching, verify
+#                  injected drift fails the client with exit 1, then
+#                  restart on the same store (dedup still cached) and
+#                  find a profile saved by a second process via
+#                  /v1/similar.
 #   make cache-smoke — result-cache smoke: run a seeded atsfuzz sweep
 #                  twice against one cache (warm pass must hit >=95% and
 #                  print byte-identical stdout), check -j 1 output

@@ -45,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers   = fs.Int("j", 0, "analysis workers (0 = one per CPU)")
 		depth     = fs.Int("queue", 0, "analysis backlog depth (0 = 2x workers)")
 		maxBody   = fs.Int64("max-body", server.DefaultMaxBody, "max request body bytes")
-		maxReps   = fs.Int("max-reports", server.DefaultMaxReports, "completed reports kept for dedup")
+		maxReps   = fs.Int("max-reports", server.DefaultMaxReports, "completed reports kept in memory (the store keeps every one for dedup)")
 		maxEvents = fs.Int64("max-events", 10_000_000, "max events per uploaded trace (0 = unlimited)")
 		maxLocs   = fs.Int("max-locations", 65536, "max locations per uploaded trace (0 = unlimited)")
 		maxFrame  = fs.Int64("max-frame", 8<<20, "max ATSC frame bytes (0 = unlimited)")

@@ -471,47 +471,76 @@ func TestPathTraversalRejected(t *testing.T) {
 	}
 }
 
-// TestReportEviction bounds the dedup cache: with MaxReports=1, a
-// second completed submission evicts the first, whose resubmission then
-// re-runs the analysis as a cache miss.
+// TestReportEviction bounds memory, not dedup: with MaxReports=1, a
+// second completed submission evicts the first from memory, yet the
+// first's resubmission is served from the report the store kept, and
+// GET /v1/reports/{id} answers from the store with the same bytes it
+// served from memory.
 func TestReportEviction(t *testing.T) {
 	_, blobA := corpusCase(t, "seed001.json")
 	_, blobB := corpusCase(t, "seed002.json")
-	s, ts := newTestServer(t, Config{MaxReports: 1})
+	s, ts := newTestServer(t, Config{MaxReports: 1, Workers: 1})
 
 	repA, respA := postReport(t, ts.URL+"/v1/cases", "application/json", blobA)
 	if respA.StatusCode != http.StatusOK {
 		t.Fatalf("first submission: %s", respA.Status)
 	}
+	settle(t, s)
+	fromMemory := getReport(t, ts.URL, repA.ID)
 	if _, respB := postReport(t, ts.URL+"/v1/cases", "application/json", blobB); respB.StatusCode != http.StatusOK {
 		t.Fatalf("second submission: %s", respB.Status)
 	}
-
-	// Eviction runs on the worker after the submitter's response is
-	// written, so poll for the first report to disappear.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(ts.URL + "/v1/reports/" + repA.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusNotFound {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("report %s never evicted (last status %s)", repA.ID, resp.Status)
-		}
-		time.Sleep(10 * time.Millisecond)
+	settle(t, s)
+	s.mu.Lock()
+	held := len(s.reports)
+	_, kept := s.reports[repA.ID]
+	s.mu.Unlock()
+	if held > 1 || kept {
+		t.Fatalf("memory holds %d reports (first kept: %v), want at most 1 without the first", held, kept)
 	}
 
+	if fromStore := getReport(t, ts.URL, repA.ID); !bytes.Equal(fromStore, fromMemory) {
+		t.Errorf("GET of the evicted report:\n%s\nwant the bytes served from memory:\n%s", fromStore, fromMemory)
+	}
 	repA2, _ := postReport(t, ts.URL+"/v1/cases", "application/json", blobA)
-	if repA2.Cached {
-		t.Error("evicted report still served from cache")
+	if !repA2.Cached || repA2.ProfileHash != repA.ProfileHash {
+		t.Errorf("resubmission after eviction: cached %v, hash %s; want cached, hash %s",
+			repA2.Cached, repA2.ProfileHash, repA.ProfileHash)
 	}
-	if got := s.AnalysesRun(); got != 3 {
-		t.Errorf("AnalysesRun = %d, want 3 (eviction must force a re-run)", got)
+	if got := s.AnalysesRun(); got != 2 {
+		t.Errorf("AnalysesRun = %d, want 2 (eviction must not force a re-run)", got)
 	}
+}
+
+// settle waits until every analysis job submitted so far has finished,
+// including its eviction step.  It needs a single-worker queue, whose
+// jobs run in submission order.
+func settle(t *testing.T, s *Server) {
+	t.Helper()
+	done := make(chan struct{})
+	if err := s.queue.Submit(func() { close(done) }); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+}
+
+// getReport fetches GET /v1/reports/{id}, requires 200, and returns the
+// body.
+func getReport(t *testing.T, url, id string) []byte {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/reports/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET report %s: %s: %s", id, resp.Status, body)
+	}
+	return body
 }
 
 // TestSaturatedDuplicatesAllComplete races identical submissions

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -39,11 +40,22 @@ type indexEntry struct {
 // lands in memory and as one JSON line on disk, so reopening the log
 // replays the exact index state in O(entries) with no re-embedding.  It
 // is safe for concurrent use by multiple goroutines.
+//
+// Several handles (in one process or many) may share one log: each
+// appends through O_APPEND, so their lines interleave whole, and Follow
+// replays what the others appended since this handle last read.
 type PersistentIndex struct {
 	mu   sync.Mutex
 	path string
 	ix   *Index
 	f    *os.File
+	// fi identifies the log file f refers to; Follow compares it with
+	// the file at path to notice a log rebuilt behind this handle.
+	fi os.FileInfo
+	// off is the byte offset of the log this handle has read up to: the
+	// end of its last replayed line, or of its own last append when
+	// nothing from another handle came before it.
+	off int64
 }
 
 // IndexExists reports whether dir holds an index log (of any vintage).
@@ -71,26 +83,11 @@ func OpenIndex(dir string, params Params, profileSchema int) (*PersistentIndex, 
 		return nil, fmt.Errorf("similarity: read index: %w", err)
 	}
 	good := 0 // byte offset past the last intact, in-stamp line
-	if len(data) > 0 {
-		lines := bytes.SplitAfter(data, []byte("\n"))
+	if nl := bytes.IndexByte(data, '\n'); nl >= 0 {
 		var have indexHeader
-		first := lines[0]
-		if bytes.HasSuffix(first, []byte("\n")) &&
-			json.Unmarshal(first, &have) == nil && have == want {
-			good = len(first)
-			for _, line := range lines[1:] {
-				if !bytes.HasSuffix(line, []byte("\n")) {
-					break // torn tail: drop it
-				}
-				var e indexEntry
-				if json.Unmarshal(line, &e) != nil {
-					break
-				}
-				if err := pi.ix.Add(e.Hash, e.Vec); err != nil {
-					break
-				}
-				good += len(line)
-			}
+		if json.Unmarshal(data[:nl+1], &have) == nil && have == want {
+			good = nl + 1
+			good += pi.replay(data[good:]) // a torn tail is dropped below
 		}
 	}
 
@@ -115,12 +112,79 @@ func OpenIndex(dir string, params Params, profileSchema int) (*PersistentIndex, 
 		}
 	}
 
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("similarity: append index: %w", err)
 	}
-	pi.f = f
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("similarity: append index: %w", err)
+	}
+	pi.f, pi.fi = f, fi
+	pi.off = int64(good)
+	if good == 0 {
+		pi.off = fi.Size() // the header line just written
+	}
 	return pi, nil
+}
+
+// replay adds the complete entry lines at the head of data to the
+// in-memory index (known hashes are skipped, nothing is appended) and
+// returns the bytes consumed.  It stops at the first line that is not
+// complete, does not decode or does not fit the index geometry.
+func (pi *PersistentIndex) replay(data []byte) int {
+	n := 0
+	for {
+		nl := bytes.IndexByte(data[n:], '\n')
+		if nl < 0 {
+			return n
+		}
+		line := data[n : n+nl+1]
+		var e indexEntry
+		if json.Unmarshal(line, &e) != nil || pi.ix.Add(e.Hash, e.Vec) != nil {
+			return n
+		}
+		n += len(line)
+	}
+}
+
+// Follow brings the handle up to date with the log it shares with other
+// handles: it reads only the bytes appended since the handle's read
+// offset and replays their complete lines.  A torn or still-being-written
+// last line is left for the next call.  Follow reports false when the
+// log is no longer one this handle can follow: the file at the path was
+// replaced (rebuilt for another stamp) or removed, it shrank below the
+// read offset, or a complete line does not decode.  The caller then
+// drops the handle, reopens the index and backfills it from the store.
+func (pi *PersistentIndex) Follow() (bool, error) {
+	pi.mu.Lock()
+	defer pi.mu.Unlock()
+	if pi.f == nil {
+		return false, fmt.Errorf("similarity: index is closed")
+	}
+	cur, err := os.Stat(pi.path)
+	if os.IsNotExist(err) {
+		return false, nil
+	}
+	if err != nil {
+		return false, fmt.Errorf("similarity: follow index: %w", err)
+	}
+	if !os.SameFile(pi.fi, cur) || cur.Size() < pi.off {
+		return false, nil
+	}
+	if cur.Size() == pi.off {
+		return true, nil
+	}
+	buf := make([]byte, cur.Size()-pi.off)
+	n, err := pi.f.ReadAt(buf, pi.off)
+	if err != nil && err != io.EOF {
+		return false, fmt.Errorf("similarity: follow index: %w", err)
+	}
+	buf = buf[:n]
+	used := pi.replay(buf)
+	pi.off += int64(used)
+	return bytes.IndexByte(buf[used:], '\n') < 0, nil
 }
 
 // Path returns the log location.
@@ -168,8 +232,15 @@ func (pi *PersistentIndex) Add(hash string, vec []float64) error {
 	if err != nil {
 		return fmt.Errorf("similarity: marshal entry: %w", err)
 	}
-	if _, err := pi.f.Write(append(blob, '\n')); err != nil {
+	line := append(blob, '\n')
+	if _, err := pi.f.Write(line); err != nil {
 		return fmt.Errorf("similarity: append index: %w", err)
+	}
+	// O_APPEND leaves the file offset at the end of this line.  When the
+	// line starts at the read offset, no other handle wrote in between
+	// and Follow need not read it back.
+	if end, err := pi.f.Seek(0, io.SeekCurrent); err == nil && end-int64(len(line)) == pi.off {
+		pi.off = end
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package similarity
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -196,5 +197,156 @@ func TestPersistentIndexGarbage(t *testing.T) {
 	}
 	if err := pi.Add(fakeHash(1), Embed(SyntheticProfile(1, 1))); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPersistentIndexFollow: two handles appending to one log in
+// turn each replay the other's lines — and only those: Follow appends
+// nothing and leaves the log as it was.  A torn last line is skipped
+// until it is complete, then picked up.
+func TestPersistentIndexFollow(t *testing.T) {
+	dir := t.TempDir()
+	a, err := OpenIndex(dir, Params{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := OpenIndex(dir, Params{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	const n = 8
+	vecs := make([][]float64, n+1)
+	for i := range vecs {
+		vecs[i] = Embed(SyntheticProfile(9, i))
+	}
+	for i := 0; i < n; i++ { // interleaved: even i through a, odd through b
+		h := a
+		if i%2 == 1 {
+			h = b
+		}
+		if err := h.Add(fakeHash(i), vecs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, err := os.ReadFile(a.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	follow := func(pi *PersistentIndex) {
+		t.Helper()
+		current, err := pi.Follow()
+		if err != nil || !current {
+			t.Fatalf("Follow = %v, %v; want true, nil", current, err)
+		}
+	}
+	follow(a)
+	follow(b)
+	for _, pi := range []*PersistentIndex{a, b} {
+		if pi.Len() != n {
+			t.Fatalf("Len after Follow = %d, want %d", pi.Len(), n)
+		}
+	}
+	after, err := os.ReadFile(a.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(before) {
+		t.Fatal("Follow changed the log")
+	}
+	re, err := OpenIndex(dir, Params{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for q := 0; q < n; q += 3 {
+		want := queryTop(t, re, vecs[q], 5)
+		if got := queryTop(t, a, vecs[q], 5); !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d: followed %v != reopened %v", q, got, want)
+		}
+	}
+
+	// A third writer's line lands in two pieces.
+	line, err := json.Marshal(indexEntry{Hash: fakeHash(n), Vec: vecs[n]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	line = append(line, '\n')
+	f, err := os.OpenFile(a.Path(), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(line[:len(line)/2]); err != nil {
+		t.Fatal(err)
+	}
+	follow(a)
+	if a.Has(fakeHash(n)) {
+		t.Fatal("torn line replayed")
+	}
+	if _, err := f.Write(line[len(line)/2:]); err != nil {
+		t.Fatal(err)
+	}
+	follow(a)
+	if !a.Has(fakeHash(n)) || a.Len() != n+1 {
+		t.Fatalf("completed line not replayed: Len %d", a.Len())
+	}
+}
+
+// TestPersistentIndexFollowStale: Follow reports false, so the caller
+// reopens, when the log was replaced, truncated, removed or holds a
+// complete line that does not decode.
+func TestPersistentIndexFollowStale(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		spoil func(t *testing.T, dir, path string)
+	}{
+		{"restamped", func(t *testing.T, dir, _ string) {
+			pi, err := OpenIndex(dir, Params{}, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pi.Close()
+		}},
+		{"truncated", func(t *testing.T, _, path string) {
+			if err := os.Truncate(path, 10); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"removed", func(t *testing.T, _, path string) {
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"garbage line", func(t *testing.T, _, path string) {
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if _, err := f.WriteString("not json\n"); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			pi, err := OpenIndex(dir, Params{}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pi.Close()
+			if err := pi.Add(fakeHash(1), Embed(SyntheticProfile(1, 1))); err != nil {
+				t.Fatal(err)
+			}
+			tc.spoil(t, dir, pi.Path())
+			if current, err := pi.Follow(); err != nil || current {
+				t.Fatalf("Follow = %v, %v; want false, nil", current, err)
+			}
+			if pi.Len() != 1 {
+				t.Fatalf("stale Follow changed the index: Len %d", pi.Len())
+			}
+		})
 	}
 }

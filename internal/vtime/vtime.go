@@ -202,15 +202,21 @@ func Spin(d float64) {
 		return
 	}
 	Calibrate()
-	deadline := time.Now().Add(time.Duration(d * float64(time.Second)))
-	remainingNs := d * 1e9
-	for remainingNs > 0 {
-		chunkNs := remainingNs
-		const maxChunkNs = 2e6 // re-check the clock every ~2ms
-		if chunkNs > maxChunkNs {
-			chunkNs = maxChunkNs
-		}
-		spinSink.Add(spinChunk(int64(chunkNs * itersPerNs)))
-		remainingNs = float64(time.Until(deadline).Nanoseconds())
+	spinUntil(d, time.Now, func(ns float64) { spinSink.Add(spinChunk(int64(ns * itersPerNs))) })
+}
+
+// maxChunkNs bounds one uninterruptible spin chunk: Spin re-checks the
+// clock at least every ~2ms of calibrated work.
+const maxChunkNs = 2e6
+
+// spinUntil is Spin's loop over an injected clock and chunk runner.  It
+// runs chunks no longer than maxChunkNs nor than the time left at the
+// last check, and returns at the first check that finds d seconds past
+// its start: never before d, and with no chunk after that check.  How
+// far past d that check lands is up to the host's scheduler.
+func spinUntil(d float64, now func() time.Time, chunk func(ns float64)) {
+	deadline := now().Add(time.Duration(d * float64(time.Second)))
+	for remainingNs := d * 1e9; remainingNs > 0; remainingNs = float64(deadline.Sub(now()).Nanoseconds()) {
+		chunk(math.Min(remainingNs, maxChunkNs))
 	}
 }

@@ -115,3 +115,66 @@ func TestRealAdvanceSpins(t *testing.T) {
 		t.Error("real-mode Advance returned too quickly")
 	}
 }
+
+// TestSpinStopsAtFirstCheckPastDeadline drives Spin's loop on a fake
+// clock: whatever the host does to the chunks (run them on time, slow
+// them down, preempt one for 50ms), no chunk exceeds 2ms or the time
+// left, the loop returns only once the clock has reached d, and it
+// runs no chunk after the first check that shows d has passed.
+func TestSpinStopsAtFirstCheckPastDeadline(t *testing.T) {
+	const d = 0.011
+	for _, tc := range []struct {
+		name string
+		// wall is how long the host takes for chunk i of ns nanoseconds;
+		// the fake clock adds 1µs to each, what a chunk and a clock read
+		// cost at the least.
+		wall func(i int, ns float64) time.Duration
+	}{
+		{"on time", func(_ int, ns float64) time.Duration { return time.Duration(ns) }},
+		{"slowed", func(_ int, ns float64) time.Duration { return time.Duration(1.7 * ns) }},
+		{"fast", func(_ int, ns float64) time.Duration { return time.Duration(0.4 * ns) }},
+		{"preempted", func(i int, ns float64) time.Duration {
+			if i == 2 {
+				return time.Duration(ns) + 50*time.Millisecond
+			}
+			return time.Duration(ns)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			start := time.Unix(1000, 0)
+			deadline := start.Add(time.Duration(d * float64(time.Second)))
+			clock := start
+			var checks []time.Time // clock readings after the start
+			var chunks []float64
+			first := true
+			now := func() time.Time {
+				if !first {
+					checks = append(checks, clock)
+				}
+				first = false
+				return clock
+			}
+			spinUntil(d, now, func(ns float64) {
+				left := d * 1e9
+				if len(checks) > 0 {
+					left = float64(deadline.Sub(checks[len(checks)-1]))
+				}
+				if ns <= 0 || ns > maxChunkNs || ns > left || len(chunks) > 1000 {
+					t.Fatalf("chunk %d of %vns with %vns left", len(chunks), ns, left)
+				}
+				clock = clock.Add(tc.wall(len(chunks), ns) + time.Microsecond)
+				chunks = append(chunks, ns)
+			})
+			if len(checks) != len(chunks) {
+				t.Fatalf("%d chunks but %d deadline checks", len(chunks), len(checks))
+			}
+			for i, c := range checks {
+				past := !c.Before(deadline)
+				if last := i == len(checks)-1; past != last {
+					t.Fatalf("check %d at +%v: past deadline %v, but it is the last check: %v",
+						i, c.Sub(start), past, last)
+				}
+			}
+		})
+	}
+}

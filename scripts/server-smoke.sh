@@ -2,7 +2,10 @@
 # End-to-end smoke of the atsd analysis server against a temp store:
 # start the daemon, save a baseline from a conformance case and from a
 # streamed ATSC spool, prove resubmission hits the dedup cache, and
-# prove injected drift fails with exit 1.  Run via `make server-smoke`.
+# prove injected drift fails with exit 1.  Then restart the daemon on
+# the same store: a resubmission must still be served from the cache
+# (the report kept in the store), and a profile saved by a second
+# process must be found by /v1/similar.  Run via `make server-smoke`.
 set -eu
 
 ADDR=${ATSD_ADDR:-127.0.0.1:7341}
@@ -24,22 +27,25 @@ trap cleanup EXIT INT TERM
 echo "== building atsd, atsregress, atsrun"
 $GO build -o "$bin" ./cmd/atsd ./cmd/atsregress ./cmd/atsrun
 
-echo "== starting atsd on $ADDR (store $tmp/store)"
-"$bin/atsd" -addr "$ADDR" -store "$tmp/store" >"$tmp/atsd.log" 2>&1 &
-atsd_pid=$!
+start_atsd() {
+    echo "== starting atsd on $ADDR (store $tmp/store)"
+    "$bin/atsd" -addr "$ADDR" -store "$tmp/store" >>"$tmp/atsd.log" 2>&1 &
+    atsd_pid=$!
+    for i in $(seq 1 50); do
+        if "$bin/atsregress" ping -server "$URL" >/dev/null 2>&1; then
+            break
+        fi
+        if ! kill -0 "$atsd_pid" 2>/dev/null; then
+            echo "atsd died during startup:" >&2
+            cat "$tmp/atsd.log" >&2
+            exit 1
+        fi
+        sleep 0.2
+    done
+    "$bin/atsregress" ping -server "$URL"
+}
 
-for i in $(seq 1 50); do
-    if "$bin/atsregress" ping -server "$URL" >/dev/null 2>&1; then
-        break
-    fi
-    if ! kill -0 "$atsd_pid" 2>/dev/null; then
-        echo "atsd died during startup:" >&2
-        cat "$tmp/atsd.log" >&2
-        exit 1
-    fi
-    sleep 0.2
-done
-"$bin/atsregress" ping -server "$URL"
+start_atsd
 
 echo "== submit conformance case, save as baseline"
 "$bin/atsregress" submit -server "$URL" -save "$CORPUS/seed001.json"
@@ -71,6 +77,31 @@ else
         exit 1
     fi
 fi
+
+echo "== restart atsd on the same store"
+kill "$atsd_pid"
+wait "$atsd_pid" 2>/dev/null || true
+atsd_pid=
+start_atsd
+
+echo "== resubmit after restart: must be served from the stored report"
+out=$("$bin/atsregress" submit -server "$URL" "$CORPUS/seed001.json")
+echo "$out"
+case "$out" in
+*"(cached)"*) ;;
+*) echo "FAIL: resubmission after restart was not served from the cache" >&2; exit 1 ;;
+esac
+
+echo "== save a profile from a second process; /v1/similar must find it"
+seed=$(ls testdata/regress-store/objects/*.json | head -1)
+hash=$(basename "$seed" .json)
+"$bin/atsregress" save -store "$tmp/store" "$seed"
+out=$(curl -fsS "$URL/v1/similar/$hash?k=3")
+echo "$out"
+case "$out" in
+*"\"hash\": \"$hash\""*) ;;
+*) echo "FAIL: /v1/similar did not find the profile saved by another process" >&2; exit 1 ;;
+esac
 
 echo "== server stats"
 "$bin/atsregress" ping -server "$URL"
