@@ -225,10 +225,6 @@ func cmdSimilar(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	idx, err := store.EnsureIndex()
-	if err != nil {
-		return err
-	}
 	fmt.Fprintf(stdout, "%-12s %10s  %-36s %s\n", "hash", "similarity", "experiment", "top finding")
 	for _, m := range matches {
 		exp, top := "(unreadable)", ""
@@ -245,7 +241,7 @@ func cmdSimilar(args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "%-12s %10.6f  %-36s %s\n", m.Hash[:12], m.Similarity, exp, top)
 	}
-	fmt.Fprintf(stdout, "probed %d of %d indexed profiles\n", probed, idx.Len())
+	fmt.Fprintf(stdout, "probed %d of %d indexed profiles\n", probed, store.Indexed())
 	return nil
 }
 

@@ -27,7 +27,9 @@ type Tolerances struct {
 	OutlierDist float64
 }
 
-func (t Tolerances) withDefaults() Tolerances {
+// WithDefaults returns t with every unset field at its default, as
+// Compare applies and records them in Diff.Tol.
+func (t Tolerances) WithDefaults() Tolerances {
 	if t.RelWait <= 0 {
 		t.RelWait = 0.02
 	}
@@ -107,7 +109,7 @@ type Diff struct {
 
 // Compare diffs cur against base under the given tolerances.
 func Compare(base, cur *profile.Profile, tol Tolerances) *Diff {
-	tol = tol.withDefaults()
+	tol = tol.WithDefaults()
 	d := &Diff{
 		Experiment:     cur.Experiment,
 		Tol:            tol,
